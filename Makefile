@@ -205,8 +205,10 @@ serve-cluster:
 # never panics), the JSON/binary differential (both codecs must resolve a
 # request to the same canonical digest), the admission-request decoder
 # (arbitrary bytes → 400, accepted specs are valid and canonically keyed),
-# and the session patch endpoint (invalid deltas → 400 with state provably
-# untouched). CI runs the same targets at 10s each.
+# the session patch endpoint (invalid deltas → 400 with state provably
+# untouched), and the one-pass JSON graph decoder against its encoding/json
+# oracle (FuzzDecodeRequest does the same for the whole solve decode). CI
+# runs the same targets at 10s each.
 fuzz:
 	$(GO) test ./internal/hap/ -run '^$$' -fuzz FuzzCurveMerge -fuzztime 30s
 	$(GO) test ./internal/hap/ -run '^$$' -fuzz FuzzSolveAnytime -fuzztime 30s
@@ -215,3 +217,4 @@ fuzz:
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzBinSolveDifferential -fuzztime 30s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzAdmit -fuzztime 30s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzPatchInstance -fuzztime 30s
+	$(GO) test ./internal/dfg/ -run '^$$' -fuzz FuzzGraphJSONDifferential -fuzztime 30s

@@ -14,6 +14,8 @@
 //
 //	POST   /v1/solve       synchronous solve (blocks until done or timeout)
 //	POST   /v1/solve-batch answer many solve requests in one round trip
+//	POST   /v1/admit       schedulability admission: verdict or cheapest FU config
+//	POST   /v1/admit/jobs  asynchronous admission, returns a job id
 //	POST   /v1/jobs        asynchronous solve, returns a job id
 //	GET    /v1/jobs        list tracked jobs
 //	GET    /v1/jobs/{id}   poll a job
@@ -25,6 +27,7 @@
 //	GET    /v1/instances/{id}/events SSE stream (state/incumbent/settled/evicted)
 //	GET    /v1/benchmarks  bundled benchmarks and FU catalogs
 //	GET    /healthz        liveness (503 while draining)
+//	GET    /v1/peerz       load summary polled by cluster routers (hetsynthrouter)
 //	GET    /metrics        queue depth, cache hit rate, latency histogram
 //
 // On SIGINT/SIGTERM the daemon stops admission and drains: in-flight and

@@ -16,6 +16,8 @@ package dfg
 import (
 	"errors"
 	"fmt"
+	"math"
+	"sync/atomic"
 )
 
 // NodeID identifies a node within one Graph. IDs are dense: a graph with n
@@ -48,6 +50,18 @@ type Graph struct {
 	succ   [][]int // node -> indices into edges, outgoing
 	pred   [][]int // node -> indices into edges, incoming
 	byName map[string]NodeID
+
+	// topo caches the DAG portion's topological order (or its cycle error)
+	// for the graph as it stands. It is computed on first use and dropped
+	// by every mutator, so concurrent readers of a built graph share one
+	// sort; the cached slice itself is never handed out.
+	topo atomic.Pointer[topoResult]
+}
+
+// topoResult is one computed topological order or the reason there is none.
+type topoResult struct {
+	order []NodeID
+	err   error
 }
 
 // New returns an empty graph.
@@ -60,6 +74,7 @@ func New() *Graph {
 // one allocation per backing array instead of a geometric growth series.
 // Growing is advisory: exceeding the hint stays correct, merely slower.
 func (g *Graph) Grow(nodes, edges int) {
+	g.invalidate()
 	if nodes > 0 {
 		g.nodes = append(make([]Node, 0, len(g.nodes)+nodes), g.nodes...)
 		g.succ = append(make([][]int, 0, len(g.succ)+nodes), g.succ...)
@@ -89,6 +104,7 @@ func (g *Graph) AddNode(name, op string) (NodeID, error) {
 	if _, dup := g.byName[name]; dup {
 		return None, fmt.Errorf("dfg: duplicate node name %q", name)
 	}
+	g.invalidate()
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Name: name, Op: op})
 	g.succ = append(g.succ, nil)
@@ -119,6 +135,7 @@ func (g *Graph) AddEdge(u, v NodeID, delays int) error {
 	if u == v && delays == 0 {
 		return fmt.Errorf("dfg: zero-delay self-loop on node %d", u)
 	}
+	g.invalidate()
 	idx := len(g.edges)
 	g.edges = append(g.edges, Edge{From: u, To: v, Delays: delays})
 	g.succ[u] = append(g.succ[u], idx)
@@ -182,8 +199,16 @@ func (g *Graph) SetDelays(i, delays int) error {
 	if g.edges[i].From == g.edges[i].To && delays == 0 {
 		return fmt.Errorf("dfg: retiming would create zero-delay self-loop on %d", g.edges[i].From)
 	}
+	g.invalidate()
 	g.edges[i].Delays = delays
 	return nil
+}
+
+// invalidate drops the cached topological order after a mutation.
+func (g *Graph) invalidate() {
+	if g.topo.Load() != nil {
+		g.topo.Store(nil)
+	}
 }
 
 // Succ returns the successor node IDs of v over zero-delay edges only,
@@ -305,10 +330,8 @@ func (g *Graph) Transpose() *Graph {
 // acyclic and every referenced node must exist (the latter is enforced at
 // build time, so in practice Validate reports zero-delay cycles).
 func (g *Graph) Validate() error {
-	if _, err := g.TopoOrder(); err != nil {
-		return err
-	}
-	return nil
+	_, err := g.order()
+	return err
 }
 
 // TopoOrder returns the nodes of the DAG portion in a topological order:
@@ -317,7 +340,31 @@ func (g *Graph) Validate() error {
 // subgraph contains a cycle; such a DFG has no static schedule.
 //
 // The order is deterministic: among ready nodes the smallest ID goes first.
+// It is computed once per graph state and cached; every call returns a
+// fresh copy the caller may modify.
 func (g *Graph) TopoOrder() ([]NodeID, error) {
+	order, err := g.order()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]NodeID, len(order))
+	copy(out, order)
+	return out, nil
+}
+
+// order returns the cached topological order, sorting on first use. The
+// slice is shared by every reader of the graph and must not be modified.
+func (g *Graph) order() ([]NodeID, error) {
+	if t := g.topo.Load(); t != nil {
+		return t.order, t.err
+	}
+	order, err := g.topoSort()
+	g.topo.Store(&topoResult{order: order, err: err})
+	return order, err
+}
+
+// topoSort computes the topological order TopoOrder documents.
+func (g *Graph) topoSort() ([]NodeID, error) {
 	n := len(g.nodes)
 	indeg := make([]int, n)
 	for _, e := range g.edges {
@@ -326,10 +373,10 @@ func (g *Graph) TopoOrder() ([]NodeID, error) {
 		}
 	}
 	// A binary min-heap of ready IDs keeps the order deterministic (smallest
-	// ID first) at O(log n) per node. TopoOrder sits under Validate,
-	// LongestPath and every solver, so it is one of the hottest loops in the
-	// whole system; the heap is hand-rolled over NodeIDs to avoid the
-	// interface and closure costs of the sort/heap packages.
+	// ID first) at O(log n) per node. The sort runs once per graph state, but
+	// a cold request still pays it in full; the heap is hand-rolled over
+	// NodeIDs to avoid the interface and closure costs of the sort/heap
+	// packages.
 	heap := make([]NodeID, 0, n)
 	push := func(v NodeID) {
 		heap = append(heap, v)
@@ -481,7 +528,7 @@ func (g *Graph) CriticalPathCount() int64 {
 // pathCounts returns, per node, the number of paths from the node to a leaf
 // (fromRoots=false) or from a root to the node (fromRoots=true), saturating.
 func (g *Graph) pathCounts(fromRoots bool) []int64 {
-	order, err := g.TopoOrder()
+	order, err := g.order()
 	if err != nil {
 		// A cyclic zero-delay subgraph is rejected everywhere else; treat
 		// every node as on a single path so callers degrade gracefully.
@@ -534,7 +581,7 @@ func (g *Graph) LongestPath(weight []int) (length int, path []NodeID, err error)
 	if len(weight) != len(g.nodes) {
 		return 0, nil, fmt.Errorf("dfg: weight slice has %d entries, graph has %d nodes", len(weight), len(g.nodes))
 	}
-	order, err := g.TopoOrder()
+	order, err := g.order()
 	if err != nil {
 		return 0, nil, err
 	}
@@ -542,15 +589,16 @@ func (g *Graph) LongestPath(weight []int) (length int, path []NodeID, err error)
 	from := make([]NodeID, len(g.nodes))
 	best := None
 	for _, v := range order {
-		dist[v] = weight[v]
-		from[v] = None
-		for _, u := range g.Pred(v) {
-			if d := dist[u] + weight[v]; d > dist[v] {
-				dist[v] = d
-				from[v] = u
+		dv, fv := weight[v], None
+		for _, ei := range g.pred[v] {
+			if e := &g.edges[ei]; e.Delays == 0 {
+				if d := dist[e.From] + weight[v]; d > dv {
+					dv, fv = d, e.From
+				}
 			}
 		}
-		if best == None || dist[v] > dist[best] {
+		dist[v], from[v] = dv, fv
+		if best == None || dv > dist[best] {
 			best = v
 		}
 	}
@@ -566,6 +614,45 @@ func (g *Graph) LongestPath(weight []int) (length int, path []NodeID, err error)
 	return dist[best], path, nil
 }
 
+// LongestPathLength is LongestPath's length alone. scratch, when it holds
+// at least N entries, is used as working storage and overwritten, so a
+// caller evaluating many weight vectors over one graph (a local search's
+// energy function) allocates nothing per call; a shorter scratch is
+// replaced by a fresh buffer.
+func (g *Graph) LongestPathLength(weight, scratch []int) (int, error) {
+	n := len(g.nodes)
+	if len(weight) != n {
+		return 0, fmt.Errorf("dfg: weight slice has %d entries, graph has %d nodes", len(weight), n)
+	}
+	order, err := g.order()
+	if err != nil {
+		return 0, err
+	}
+	if len(scratch) < n {
+		scratch = make([]int, n)
+	}
+	if n == 0 {
+		return 0, nil
+	}
+	dist := scratch[:n]
+	length := math.MinInt
+	for _, v := range order {
+		dv := weight[v]
+		for _, ei := range g.pred[v] {
+			if e := &g.edges[ei]; e.Delays == 0 {
+				if d := dist[e.From] + weight[v]; d > dv {
+					dv = d
+				}
+			}
+		}
+		dist[v] = dv
+		if dv > length {
+			length = dv
+		}
+	}
+	return length, nil
+}
+
 // PathLengthsThrough returns, per node, the maximum total weight of a
 // root-to-leaf path passing through that node. The difference between a
 // timing constraint and this value is the node's slack — how much longer
@@ -574,7 +661,7 @@ func (g *Graph) PathLengthsThrough(weight []int) ([]int, error) {
 	if len(weight) != len(g.nodes) {
 		return nil, fmt.Errorf("dfg: weight slice has %d entries, graph has %d nodes", len(weight), len(g.nodes))
 	}
-	order, err := g.TopoOrder()
+	order, err := g.order()
 	if err != nil {
 		return nil, err
 	}
@@ -612,7 +699,7 @@ func (g *Graph) OnLongestPath(weight []int) (mask []bool, length int, err error)
 	if len(weight) != len(g.nodes) {
 		return nil, 0, fmt.Errorf("dfg: weight slice has %d entries, graph has %d nodes", len(weight), len(g.nodes))
 	}
-	order, err := g.TopoOrder()
+	order, err := g.order()
 	if err != nil {
 		return nil, 0, err
 	}

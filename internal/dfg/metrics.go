@@ -18,7 +18,7 @@ type Metrics struct {
 // ComputeMetrics returns the shape metrics of the DAG portion. The graph
 // must validate (acyclic zero-delay subgraph).
 func ComputeMetrics(g *Graph) (Metrics, error) {
-	order, err := g.TopoOrder()
+	order, err := g.order()
 	if err != nil {
 		return Metrics{}, err
 	}

@@ -68,11 +68,17 @@ func AnnealCtx(ctx context.Context, p Problem, opts AnnealOptions) (Solution, er
 			}
 		}
 	}
+	// times and dist are the energy function's scratch: one longest-path
+	// pass per move, no allocation.
+	times, dist := make([]int, n), make([]int, n)
 	energy := func(a Assignment) (float64, int64, int) {
 		cost := CostOf(t, a)
-		//hetsynth:ignore retval LongestPath fails only on malformed weights;
-		// Times derives them from the validated table.
-		length, _, _ := p.Graph.LongestPath(Times(t, a))
+		for v, k := range a {
+			times[v] = t.Time[v][k]
+		}
+		//hetsynth:ignore retval LongestPathLength fails only on malformed
+		// weights; times derives them from the validated table.
+		length, _ := p.Graph.LongestPathLength(times, dist)
 		e := float64(cost)
 		if length > p.Deadline {
 			e += float64(lambda) * float64(length-p.Deadline)

@@ -25,6 +25,12 @@ func hardInstance(n int) Problem {
 	return p
 }
 
+// cancelSize is the hardInstance size the cancellation tests use. At 34
+// nodes the exact search runs for seconds before it exhausts its budget, so
+// a cancel a few milliseconds in always lands mid-search; smaller instances
+// (26 nodes solves in about 2ms) can finish before the context fires.
+const cancelSize = 34
+
 func TestSolveCtxCancelledBeforeStart(t *testing.T) {
 	p := hardInstance(12)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -37,7 +43,7 @@ func TestSolveCtxCancelledBeforeStart(t *testing.T) {
 }
 
 func TestExactCtxCancellationUnwinds(t *testing.T) {
-	p := hardInstance(26)
+	p := hardInstance(cancelSize)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -54,7 +60,7 @@ func TestExactCtxCancellationUnwinds(t *testing.T) {
 }
 
 func TestExactParallelCtxCancellationStopsWorkers(t *testing.T) {
-	p := hardInstance(26)
+	p := hardInstance(cancelSize)
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)

@@ -170,10 +170,11 @@ func ExactCtx(ctx context.Context, p Problem, opts ExactOptions) (Solution, erro
 
 	// longest recomputes the optimistic longest path. O(V+E) per call keeps
 	// the code simple; Exact is a small-graph oracle, not a production path.
+	dist := make([]int, n)
 	longest := func() int {
-		//hetsynth:ignore retval LongestPath fails only on malformed weights;
-		// times is sized by the validated table.
-		l, _, _ := p.Graph.LongestPath(times)
+		//hetsynth:ignore retval LongestPathLength fails only on malformed
+		// weights; times is sized by the validated table.
+		l, _ := p.Graph.LongestPathLength(times, dist)
 		return l
 	}
 

@@ -154,6 +154,7 @@ func ExactParallelCtx(ctx context.Context, p Problem, opts ExactOptions) (Soluti
 		go func(k0 int) {
 			defer wg.Done()
 			times := append([]int(nil), fastTimes...)
+			dist := make([]int, n) // LongestPathLength scratch
 			assign := make(Assignment, n)
 			assign[first] = fu.TypeID(k0)
 			times[first] = t.Time[first][k0]
@@ -185,9 +186,9 @@ func ExactParallelCtx(ctx context.Context, p Problem, opts ExactOptions) (Soluti
 				if cost+minCostSuffix[i] >= inc.cost.Load() {
 					return nil
 				}
-				//hetsynth:ignore retval LongestPath fails only on malformed
-				// weights; times is sized by the validated table.
-				if l, _, _ := p.Graph.LongestPath(times); l > p.Deadline {
+				//hetsynth:ignore retval LongestPathLength fails only on
+				// malformed weights; times is sized by the validated table.
+				if l, _ := p.Graph.LongestPathLength(times, dist); l > p.Deadline {
 					return nil
 				}
 				if i == n {

@@ -116,7 +116,7 @@ func Evaluate(p Problem, a Assignment) (Solution, error) {
 			return Solution{}, fmt.Errorf("hap: node %d assigned invalid type %d", v, k)
 		}
 	}
-	length, _, err := p.Graph.LongestPath(Times(p.Table, a))
+	length, err := p.Graph.LongestPathLength(Times(p.Table, a), nil)
 	if err != nil {
 		return Solution{}, err
 	}
@@ -138,8 +138,7 @@ func MinMakespan(g *dfg.Graph, t *fu.Table) (int, error) {
 	for v := range w {
 		w[v] = t.MinTime(v)
 	}
-	length, _, err := g.LongestPath(w)
-	return length, err
+	return g.LongestPathLength(w, nil)
 }
 
 // minCostAssignment assigns every node its cheapest type — the optimum when

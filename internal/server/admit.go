@@ -149,7 +149,7 @@ func decodeAdmitRequest(body []byte) (*admitSpec, error) {
 			Graph: tp.Graph, Bench: tp.Bench,
 			Table: tp.Table, Catalog: tp.Catalog, Seed: tp.Seed, Types: tp.Types,
 		}
-		g, err := resolveGraph(sub)
+		g, err := resolveGraph(sub, nil)
 		if err != nil {
 			return nil, badRequest("task %d: %v", i, err.(*apiError).Msg)
 		}

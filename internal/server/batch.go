@@ -124,7 +124,7 @@ func (s *Server) handleSolveBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		entries = make([]binBatchEntry, len(breq.Entries))
 		for i := range breq.Entries {
-			spec, err := resolve(&breq.Entries[i])
+			spec, err := resolve(&breq.Entries[i], nil)
 			if err != nil {
 				entries[i].aerr = err.(*apiError)
 				continue

@@ -179,23 +179,32 @@ type solveSpec struct {
 
 // decodeSolveRequest parses and resolves a request body into a solveSpec.
 // Every failure is a *apiError with status 400, so handlers can surface
-// malformed inputs uniformly.
+// malformed inputs uniformly. The body is read up to maxBodyBytes; bytes
+// past the limit are never looked at.
 func decodeSolveRequest(r io.Reader) (*solveSpec, error) {
-	dec := json.NewDecoder(io.LimitReader(r, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	var req SolveRequest
-	if err := dec.Decode(&req); err != nil {
+	buf := getBuf()
+	defer putBuf(buf)
+	if _, err := buf.ReadFrom(io.LimitReader(r, maxBodyBytes)); err != nil {
 		return nil, badRequest("invalid request JSON: %v", err)
 	}
-	if dec.More() {
-		return nil, badRequest("trailing data after request object")
-	}
-	return resolve(&req)
+	return decodeSolveRequestBytes(buf.Bytes())
 }
 
-// decodeSolveRequestBytes is decodeSolveRequest over an in-memory body the
-// caller has already size-checked (readBody enforces maxBodyBytes).
+// decodeSolveRequestBytes is decodeSolveRequest over an in-memory body.
+// Bodies in the form clients emit take the one-pass walker
+// (scanSolveRequest); everything else goes through decodeSolveRequestJSON,
+// which defines what is accepted and how it is rejected.
 func decodeSolveRequestBytes(b []byte) (*solveSpec, error) {
+	if req, g, ok := scanSolveRequest(b); ok {
+		return resolve(&req, g)
+	}
+	return decodeSolveRequestJSON(b)
+}
+
+// decodeSolveRequestJSON is the encoding/json solve decode: strict about
+// unknown fields, otherwise encoding/json's language (case-folded keys,
+// escapes, nulls, last duplicate wins).
+func decodeSolveRequestJSON(b []byte) (*solveSpec, error) {
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	var req SolveRequest
@@ -205,7 +214,7 @@ func decodeSolveRequestBytes(b []byte) (*solveSpec, error) {
 	if dec.More() {
 		return nil, badRequest("trailing data after request object")
 	}
-	return resolve(&req)
+	return resolve(&req, nil)
 }
 
 // ResolveInstance materializes the problem instance a request describes —
@@ -215,7 +224,7 @@ func decodeSolveRequestBytes(b []byte) (*solveSpec, error) {
 // through the same resolution code as the node guarantees the router and the
 // node derive identical digests for every JSON body.
 func ResolveInstance(req *SolveRequest) (*dfg.Graph, *fu.Table, error) {
-	g, err := resolveGraph(req)
+	g, err := resolveGraph(req, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -227,8 +236,9 @@ func ResolveInstance(req *SolveRequest) (*dfg.Graph, *fu.Table, error) {
 }
 
 // resolve turns the wire request into a concrete problem and canonical keys.
-func resolve(req *SolveRequest) (*solveSpec, error) {
-	g, err := resolveGraph(req)
+// pre, when non-nil, is req.Graph already decoded.
+func resolve(req *SolveRequest, pre *dfg.Graph) (*solveSpec, error) {
+	g, err := resolveGraph(req, pre)
 	if err != nil {
 		return nil, err
 	}
@@ -316,14 +326,19 @@ func resolveWith(g *dfg.Graph, tab *fu.Table, req *SolveRequest, instEnc []byte)
 	return spec, nil
 }
 
-func resolveGraph(req *SolveRequest) (*dfg.Graph, error) {
+// resolveGraph materializes the request's graph; pre, when non-nil, is
+// req.Graph already decoded.
+func resolveGraph(req *SolveRequest, pre *dfg.Graph) (*dfg.Graph, error) {
 	switch {
 	case len(req.Graph) > 0 && req.Bench != "":
 		return nil, badRequest("use either graph or bench, not both")
 	case len(req.Graph) > 0:
-		g := dfg.New()
-		if err := g.UnmarshalJSON(req.Graph); err != nil {
-			return nil, badRequest("invalid graph: %v", err)
+		g := pre
+		if g == nil {
+			g = dfg.New()
+			if err := g.UnmarshalJSON(req.Graph); err != nil {
+				return nil, badRequest("invalid graph: %v", err)
+			}
 		}
 		if g.N() == 0 {
 			return nil, badRequest("invalid graph: no nodes")

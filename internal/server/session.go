@@ -923,7 +923,7 @@ func (s *Server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 	if cerr := ctx.Err(); cerr != nil {
 		// Nothing staged has touched the session yet: a dead budget or a gone
 		// client aborts with the state exactly as it was.
-		writeErr(w, classifySolveErr(cerr))
+		writeErr(w, evictedOr(ss, classifySolveErr(cerr)))
 		return
 	}
 
@@ -938,11 +938,22 @@ func (s *Server) handleSessionPatch(w http.ResponseWriter, r *http.Request) {
 			ss.inc.Close()
 			ss.inc = nil
 		}
-		writeErr(w, aerr)
+		writeErr(w, evictedOr(ss, aerr))
 		return
 	}
 	view := s.commitSession(ss, st, out, ss.gen+1)
 	writeJSON(w, http.StatusOK, view)
+}
+
+// evictedOr is the answer to a PATCH whose solve failed: when the session
+// was evicted meanwhile (DELETE, TTL janitor or LRU), its teardown cancelled
+// the solve, and the client — who never hung up — gets the same 404 as the
+// pre-solve eviction check rather than the cancellation.
+func evictedOr(ss *session, aerr *apiError) *apiError {
+	if ss.isEvicted() {
+		return &apiError{Status: 404, Msg: "instance session evicted"}
+	}
+	return aerr
 }
 
 // handleSessionGet returns the session view at {id}.

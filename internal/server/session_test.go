@@ -431,3 +431,33 @@ func TestSessionMetricsAndLimits(t *testing.T) {
 		t.Fatalf("patches/rejected = %d/%d, want 1/1", snap.Patches, snap.PatchesRejected)
 	}
 }
+
+// TestSessionPatchEvictedMidSolve evicts a session while a PATCH is past
+// its pre-solve eviction check: the eviction's teardown cancels the solve,
+// but the client never hung up, so the answer is the eviction's 404 — not
+// the 499 the cancellation alone would classify as.
+func TestSessionPatchEvictedMidSolve(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	if code, view := postJSON(t, ts, "PUT", "/v1/instances/gone", fuzzSessionBody); code != 201 {
+		t.Fatalf("PUT: status %d: %v", code, view)
+	}
+	ss, ok := s.sessions.get("gone")
+	if !ok {
+		t.Fatal("session not stored")
+	}
+	evicted := make(chan struct{})
+	s.preSolve = func(ctx context.Context) {
+		// evictSession blocks on the session's operation lock, which this
+		// PATCH holds until it answers, so it runs beside the handler.
+		go func() {
+			s.evictSession(ss, "deleted")
+			close(evicted)
+		}()
+		<-ctx.Done()
+	}
+	code, body := postJSON(t, ts, "PATCH", "/v1/instances/gone", `{"ops":[]}`)
+	<-evicted
+	if code != 404 || body["error"] != "instance session evicted" {
+		t.Fatalf("PATCH racing eviction: status %d %v, want 404 instance session evicted", code, body)
+	}
+}

@@ -438,7 +438,7 @@ func decodeSolveEntry(d *wireDec) (*solveSpec, *apiError, error) {
 		default:
 			return nil, nil, fmt.Errorf("unknown table source %d", tk)
 		}
-		spec, rerr := resolve(&req)
+		spec, rerr := resolve(&req, nil)
 		if rerr != nil {
 			return nil, rerr.(*apiError), nil
 		}
