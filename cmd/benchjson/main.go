@@ -25,7 +25,11 @@
 // With -gate, benchmarks matching the regexp fail the run (exit 1) when
 // ns/op regresses more than -max-ns-regress (default 25%) or allocs/op more
 // than -max-allocs-regress (default 10%) versus the baseline. Results only
-// in one of the two reports are reported but never gate.
+// in one of the two reports are reported but never gate; a gate that
+// matches no benchmark present in both reports fails the run, since it
+// compared nothing. Names are matched without the -N GOMAXPROCS suffix go
+// test appends on multi-CPU hosts, so a baseline recorded at one CPU count
+// still gates runs at another.
 //
 // -count N repeats every benchmark N times (go test -count) and keeps each
 // name's fastest run. Scheduler noise on a busy or single-CPU machine only
@@ -198,28 +202,59 @@ func loadReport(path string) Report {
 	return rep
 }
 
-// diff prints a per-benchmark delta table (new vs old, matched by name) and
-// reports whether every gated benchmark stayed within tolerance. Each gate
-// failure is also written to stderr naming the benchmark and the exact
-// metric (ns/op or allocs/op) that regressed, with the measured delta and
-// the tolerance it broke — the table alone is too easy to misread in CI.
+// procSuffix returns the "-N" suffix go test appended to every name of a
+// run at GOMAXPROCS=N > 1, or "" when the names do not all share one (a
+// GOMAXPROCS=1 run has no suffix at all).
+func procSuffix(results []Result) string {
+	if len(results) == 0 {
+		return ""
+	}
+	name := results[0].Name
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return ""
+	}
+	if _, err := strconv.Atoi(name[i+1:]); err != nil {
+		return ""
+	}
+	suffix := name[i:]
+	for _, r := range results[1:] {
+		if !strings.HasSuffix(r.Name, suffix) {
+			return ""
+		}
+	}
+	return suffix
+}
+
+// diff prints a per-benchmark delta table (new vs old, matched by name
+// without the GOMAXPROCS suffix) and reports whether every gated benchmark
+// stayed within tolerance. Each gate failure is also written to stderr
+// naming the benchmark and the exact metric (ns/op or allocs/op) that
+// regressed, with the measured delta and the tolerance it broke — the table
+// alone is too easy to misread in CI. A gate that matched no benchmark of
+// both reports is a failure too: it would otherwise pass having compared
+// nothing.
 func diff(old, new Report, gateRe *regexp.Regexp, maxNs, maxAllocs float64) bool {
+	oldSuffix, newSuffix := procSuffix(old.Results), procSuffix(new.Results)
 	byName := make(map[string]Result, len(old.Results))
 	for _, r := range old.Results {
-		byName[r.Name] = r
+		byName[strings.TrimSuffix(r.Name, oldSuffix)] = r
 	}
 	var failures []string
+	gated := 0
 	for _, r := range new.Results {
-		o, ok := byName[r.Name]
+		key := strings.TrimSuffix(r.Name, newSuffix)
+		o, ok := byName[key]
 		if !ok {
 			fmt.Printf("%-55s %12.0f ns/op %8d allocs/op  (new)\n", r.Name, r.NsPerOp, r.AllocsPerOp)
 			continue
 		}
-		delete(byName, r.Name)
+		delete(byName, key)
 		nsDelta := ratio(r.NsPerOp, o.NsPerOp)
 		allocDelta := ratio(float64(r.AllocsPerOp), float64(o.AllocsPerOp))
 		status := ""
 		if gateRe != nil && gateRe.MatchString(r.Name) {
+			gated++
 			status = "  ok"
 			if nsDelta > maxNs {
 				status = "  REGRESSION"
@@ -244,8 +279,11 @@ func diff(old, new Report, gateRe *regexp.Regexp, maxNs, maxAllocs float64) bool
 		fmt.Printf("%-55s %12.0f ns/op (%+6.1f%%) %8d allocs/op (%+6.1f%%)%s\n",
 			r.Name, r.NsPerOp, 100*nsDelta, r.AllocsPerOp, 100*allocDelta, status)
 	}
-	for name := range byName {
-		fmt.Printf("%-55s (only in baseline)\n", name)
+	for _, o := range byName {
+		fmt.Printf("%-55s (only in baseline)\n", o.Name)
+	}
+	if gateRe != nil && gated == 0 {
+		failures = append(failures, fmt.Sprintf("-gate %q matched no benchmark present in both reports", gateRe))
 	}
 	for _, f := range failures {
 		fmt.Fprintf(os.Stderr, "benchjson: gate failure: %s\n", f)

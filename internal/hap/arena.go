@@ -31,6 +31,10 @@ import (
 //   - release() returns every arena to the pool; callers must have copied
 //     anything they keep (Solution and FrontierPoint values copy, never
 //     alias), exactly as with the pooled dpScratch.
+//   - seal() ends a solver's build: it copies the live curves into one
+//     exact-size arena of its own and returns the build arenas to the pool.
+//     FrontierSolver seals, so a cached solver holds Σ|curve| points and no
+//     append slack or abandoned ranges.
 type curveArena struct {
 	pts []curvePoint
 }

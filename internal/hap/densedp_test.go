@@ -10,10 +10,11 @@ import (
 // treeAssignDense is the original dense-table formulation of Tree_Assign:
 // X[v][0..L] tabulated per node, O(|V|·L·K) time and O(|V|·L) memory. The
 // production path (treeSolver, curve.go) replaced it with the sparse
-// Pareto-frontier engine; this implementation is kept verbatim as the
-// reference oracle for the differential tests, which assert that the sparse
-// engine reproduces its costs AND assignments bit-for-bit. It accepts the
-// same optional per-node type mask as treeAssignMasked.
+// Pareto-frontier engine; this implementation is kept verbatim, in a test
+// file so production builds never carry it, as the reference oracle for the
+// differential tests, which assert that the sparse engine reproduces its
+// costs AND assignments bit-for-bit. It accepts the same optional per-node
+// type mask as treeAssignMasked.
 func treeAssignDense(p Problem, allowed [][]bool) (Solution, error) {
 	g, t, L := p.Graph, p.Table, p.Deadline
 	n, K := g.N(), t.K()

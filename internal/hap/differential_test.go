@@ -12,7 +12,7 @@ import (
 )
 
 // These tests pin the sparse Pareto-frontier engine (treesolver.go) to the
-// dense table DP it replaced (densedp.go): on every input the two must agree
+// dense table DP it replaced (densedp_test.go): on every input the two must agree
 // on feasibility, optimal cost, schedule length AND the assignment itself —
 // the traceback repeats the dense tie-breaking rule, so even ties must
 // resolve identically.

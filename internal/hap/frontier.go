@@ -120,13 +120,17 @@ func NewFrontierSolver(p Problem) (*FrontierSolver, error) {
 		return nil, err
 	}
 	solver.recompute()
+	front := solver.frontier()
+	// Later calls only traceback, so the curves move into one exact-size
+	// block and the build arenas go back to the pool for the next build.
+	solver.seal()
 	var minCost int64
 	for v := 0; v < p.Graph.N(); v++ {
 		minCost += p.Table.Cost[v][p.Table.MinCostType(v)]
 	}
 	return &FrontierSolver{
 		s:       solver,
-		front:   solver.frontier(),
+		front:   front,
 		horizon: p.Deadline,
 		minCost: minCost,
 	}, nil

@@ -3,6 +3,7 @@ package hap
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -129,5 +130,94 @@ func TestTreeAssignWithFrontierAgreesWithSeparateCalls(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// wideProblem is (g, tab) at the horizon a serving layer builds its
+// FrontierSolver for: the longest path with every node at its slowest type,
+// beyond which every assignment is feasible.
+func wideProblem(tb testing.TB, g *dfg.Graph, tab *fu.Table) Problem {
+	tb.Helper()
+	wmax := make([]int, g.N())
+	for v := range wmax {
+		wmax[v] = tab.MaxTime(v)
+	}
+	horizon, _, err := g.LongestPath(wmax)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return Problem{Graph: g, Table: tab, Deadline: horizon}
+}
+
+func TestFrontierSolverHugeTimesStayOffTheWindow(t *testing.T) {
+	// A 2047-node tree whose table times are ~1e7: every merge spans far more
+	// time slots than it has breakpoints, so the dense-window guard must send
+	// it to the cursor merges. Scaling every time by S scales the frontier's
+	// deadlines by S and changes nothing else, so the solver must reproduce
+	// the unit-scale tree (which runs on the window) and fresh solves, within
+	// a fixed allocation budget — a window sized to the time span would need
+	// gigabytes.
+	if raceEnabled {
+		t.Skip("allocation sizes include race instrumentation")
+	}
+	const n, K, scale = 2047, 3, 1_000_000
+	rng := rand.New(rand.NewSource(11))
+	g := dfg.RandomTree(rng, n)
+	small := fu.RandomTable(rng, n, K)
+	big := fu.NewTable(n, K)
+	for v := 0; v < n; v++ {
+		for k := 0; k < K; k++ {
+			big.Time[v][k] = small.Time[v][k] * scale
+			big.Cost[v][k] = small.Cost[v][k]
+		}
+	}
+	fsSmall, err := NewFrontierSolver(wideProblem(t, g, small))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb := wideProblem(t, g, big)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fsBig, err := NewFrontierSolver(pb)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const budget = 8 << 20 // ~10x a measured build; one 1M-slot window is 8 MiB
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("building the huge-time solver allocated %d bytes, budget %d", got, budget)
+	}
+	fs, fb := fsSmall.Frontier(), fsBig.Frontier()
+	if len(fs) < 2 || len(fs) != len(fb) || !fsBig.Complete() {
+		t.Fatalf("frontier sizes %d (unit) vs %d (scaled), complete %v", len(fs), len(fb), fsBig.Complete())
+	}
+	for i := range fs {
+		if fb[i].Deadline != fs[i].Deadline*scale || fb[i].Cost != fs[i].Cost {
+			t.Fatalf("frontier[%d]: scaled %+v, unit %+v", i, fb[i], fs[i])
+		}
+	}
+	for _, L := range []int{fs[0].Deadline, (fs[0].Deadline + fs[len(fs)-1].Deadline) / 2, fs[len(fs)-1].Deadline} {
+		pin := pb
+		pin.Deadline = L * scale
+		fresh, err := TreeAssign(pin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := fsBig.SolveAt(L * scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unit, err := fsSmall.SolveAt(L)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Cost != fresh.Cost || got.Cost != unit.Cost || got.Length != unit.Length*scale {
+			t.Fatalf("L=%d: sealed %d/%d, fresh %d/%d, unit %d/%d (cost/length)", L, got.Cost, got.Length, fresh.Cost, fresh.Length, unit.Cost, unit.Length)
+		}
+		for v := range got.Assign {
+			if got.Assign[v] != unit.Assign[v] {
+				t.Fatalf("L=%d node %d: scaled type %d, unit type %d", L, v, got.Assign[v], unit.Assign[v])
+			}
+		}
 	}
 }

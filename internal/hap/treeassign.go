@@ -26,12 +26,13 @@ import (
 //
 // The engine stores each X_v sparsely, as the breakpoints of the
 // non-increasing step function j ↦ X_v[j] (see curve.go), so per-node work
-// is O((B_children + K·B_v) log) in the breakpoint counts B instead of the
-// dense table's O(L·K), and memory is the total frontier size instead of
-// O(|V|·L). Costs and assignments are identical to the dense formulation
-// (treeAssignDense keeps it as the differential-test oracle). Forests with
-// at least parallelMinDirty nodes are evaluated by a worker pool over
-// independent sibling subtrees.
+// is O(B_children + K·B_v + W_v) in the breakpoint counts B and the node's
+// time span W_v — with a cursor-merge fallback when W_v dwarfs B — instead
+// of the dense table's O(L·K), and memory is the total frontier size instead
+// of O(|V|·L). Costs and assignments are identical to the dense formulation,
+// which the differential tests keep as their oracle (treeAssignDense, in
+// densedp_test.go). Forests with at least parallelMinDirty nodes are
+// evaluated by a worker pool over independent sibling subtrees.
 //
 // TreeAssign returns ErrShape on non-forests and ErrInfeasible when even
 // all-fastest types miss the deadline.

@@ -29,16 +29,11 @@ type treeSolver struct {
 	order    []dfg.NodeID // children before parents
 	cand     [][]fu.TypeID
 
-	// Retained per-node curves. The default representation is a curveRef per
-	// node into the solver-owned flat arenas (arena.go): contiguous storage,
-	// 12-byte handles, pooled backing stores. sliceMode switches to one
-	// []curvePoint allocation per node — the representation the arenas
-	// replaced — which is retained as the storage-layout oracle for the
-	// arena differential tests.
-	refs        []curveRef
-	arenas      []*curveArena
-	sliceCurves []curve
-	sliceMode   bool
+	// Retained per-node curves: a curveRef per node into the solver-owned
+	// flat arenas (arena.go) — contiguous storage, 12-byte handles, pooled
+	// backing stores until seal() moves them into one exact-size block.
+	refs   []curveRef
+	arenas []*curveArena
 
 	// arenaMu guards growth of the arenas slice on the (unreachable in
 	// practice) overflow path of a parallel solve; see recomputeParallel.
@@ -69,14 +64,6 @@ type treeSolver struct {
 // optimum (cost, length, assignment) carries over to the original unchanged —
 // this is how in-forests are solved without copying the graph each call.
 func newTreeSolver(p Problem, allowed [][]bool, reversed bool) (*treeSolver, error) {
-	return newTreeSolverMode(p, allowed, reversed, false)
-}
-
-// newTreeSolverMode is newTreeSolver with an explicit curve-storage mode:
-// sliceMode retains one []curvePoint per node instead of arena refs. Only
-// the arena differential tests ask for slice mode; every production caller
-// goes through newTreeSolver.
-func newTreeSolverMode(p Problem, allowed [][]bool, reversed, sliceMode bool) (*treeSolver, error) {
 	g, t := p.Graph, p.Table
 	n, K := g.N(), t.K()
 	var order []dfg.NodeID
@@ -90,24 +77,19 @@ func newTreeSolverMode(p Problem, allowed [][]bool, reversed, sliceMode bool) (*
 		return nil, err
 	}
 	s := &treeSolver{
-		p:         p,
-		children:  make([][]dfg.NodeID, n),
-		parent:    make([]int32, n),
-		order:     order,
-		cand:      make([][]fu.TypeID, n),
-		sliceMode: sliceMode,
-		dirty:     make([]bool, n),
-		ndirty:    n,
+		p:        p,
+		children: make([][]dfg.NodeID, n),
+		parent:   make([]int32, n),
+		order:    order,
+		cand:     make([][]fu.TypeID, n),
+		refs:     make([]curveRef, n),
+		dirty:    make([]bool, n),
+		ndirty:   n,
 		// hetsynth:pool-escape solver-owned scratch, held until release() recycles it
 		sc: getScratch(),
 	}
-	if sliceMode {
-		s.sliceCurves = make([]curve, n)
-	} else {
-		s.refs = make([]curveRef, n)
-		// hetsynth:pool-escape serial arena, held until release() recycles it
-		s.arenas = append(s.arenas, getArena())
-	}
+	// hetsynth:pool-escape serial arena, held until release() recycles it
+	s.arenas = append(s.arenas, getArena())
 	for v := 0; v < n; v++ {
 		s.parent[v] = -1
 		s.dirty[v] = true
@@ -130,7 +112,7 @@ func newTreeSolverMode(p Problem, allowed [][]bool, reversed, sliceMode bool) (*
 	childArena := make([]dfg.NodeID, 0, total)
 	for v := 0; v < n; v++ {
 		at := len(childArena)
-		s.children[v] = childArena[at:at:at+deg[v]]
+		s.children[v] = childArena[at : at : at+deg[v]]
 		childArena = childArena[:at+deg[v]]
 	}
 	fill := deg // reuse as per-node cursor
@@ -218,16 +200,48 @@ func (s *treeSolver) release() {
 	s.refs = nil
 }
 
-// curveOf returns node v's retained curve: a view into the owning arena (or
-// the node's own slice in slice mode). Callers must not append to it; the
-// arena view's capacity is pinned, so a stray append cannot corrupt a
-// neighbor, but the result must be treated as read-only either way.
+// seal moves every retained curve into one exact-size arena the solver owns
+// outright and hands the pooled build arenas, the scratch and the parallel
+// handoff headers back, keeping only Σ|curve| points. A sealed solver is
+// read-only: solveAt still tracebacks any budget, but nothing may dirty,
+// recompute or re-sum it (frontier needs the scratch). FrontierSolver seals
+// once its curves and frontier are built, so a cached solver holds exactly
+// its curves while the next cold build reuses the warm arenas.
+func (s *treeSolver) seal() {
+	total := 0
+	for _, r := range s.refs {
+		total += int(r.n)
+	}
+	if total > maxArenaPoints {
+		return // offsets would not fit one arena; keep the build arenas
+	}
+	pts := make([]curvePoint, 0, total)
+	for v, r := range s.refs {
+		if r.n == 0 {
+			continue
+		}
+		at := len(pts)
+		src := s.arenas[r.ar].pts
+		pts = append(pts, src[r.off:r.off+r.n:r.off+r.n]...)
+		s.refs[v] = curveRef{off: int32(at), n: r.n}
+	}
+	for i, a := range s.arenas {
+		putArena(a)
+		s.arenas[i] = nil
+	}
+	s.arenas = append(s.arenas[:0], &curveArena{pts: pts})
+	putScratch(s.sc)
+	s.sc = nil
+	s.ptmp = nil
+}
+
+// curveOf returns node v's retained curve: a view into the owning arena.
+// Callers must not append to it; the view's capacity is pinned, so a stray
+// append cannot corrupt a neighbor, but the result must be treated as
+// read-only either way.
 //
 // hetsynth:hotpath
 func (s *treeSolver) curveOf(v dfg.NodeID) curve {
-	if s.sliceMode {
-		return s.sliceCurves[v]
-	}
 	r := s.refs[v]
 	if r.n == 0 {
 		return nil
@@ -237,19 +251,10 @@ func (s *treeSolver) curveOf(v dfg.NodeID) curve {
 }
 
 // storeCurve retains pts (a transient envelope result) as node v's curve by
-// copying it into arena ar. In slice mode the copy is a fresh per-node
-// allocation instead. A nil/empty pts records the infeasible curve.
+// copying it into arena ar. A nil/empty pts records the infeasible curve.
 //
 // hetsynth:hotpath
 func (s *treeSolver) storeCurve(v dfg.NodeID, pts curve, ar int32) {
-	if s.sliceMode {
-		if len(pts) == 0 {
-			s.sliceCurves[v] = nil
-			return
-		}
-		s.sliceCurves[v] = append(curve(nil), pts...)
-		return
-	}
 	if len(pts) == 0 {
 		s.refs[v] = curveRef{}
 		return
@@ -424,20 +429,14 @@ func (s *treeSolver) recomputeParallel() {
 	// the arenas slice itself stays immutable during the run (the overflow
 	// path below is the sole, mutex-guarded exception).
 	base := len(s.arenas)
-	if !s.sliceMode {
-		for w := 0; w < workers; w++ {
-			// hetsynth:pool-escape per-worker arena, held until release() recycles it
-			s.arenas = append(s.arenas, getArena())
-		}
+	for w := 0; w < workers; w++ {
+		// hetsynth:pool-escape per-worker arena, held until release() recycles it
+		s.arenas = append(s.arenas, getArena())
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		ar := int32(0)
-		var a *curveArena
-		if !s.sliceMode {
-			ar = int32(base + w)
-			a = s.arenas[ar]
-		}
+		ar := int32(base + w)
+		a := s.arenas[ar]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -445,10 +444,7 @@ func (s *treeSolver) recomputeParallel() {
 			defer putScratch(sc)
 			for v := range ready {
 				pts := s.computeCurve(int(v), sc, tmp)
-				if s.sliceMode {
-					s.storeCurve(v, pts, 0)
-					tmp[v] = s.sliceCurves[v]
-				} else if len(pts) == 0 {
+				if len(pts) == 0 {
 					s.refs[v] = curveRef{}
 					tmp[v] = nil
 				} else {

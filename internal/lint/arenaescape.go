@@ -75,9 +75,9 @@ func findArenaPtsField(pkg *types.Package) *types.Var {
 
 type arenaChecker struct {
 	pass      *Pass
-	pts       *types.Var            // curveArena.pts
-	aliases   map[*types.Var]bool   // locals holding arena-backed slices
-	producers map[*types.Func]bool  // functions returning arena views
+	pts       *types.Var           // curveArena.pts
+	aliases   map[*types.Var]bool  // locals holding arena-backed slices
+	producers map[*types.Func]bool // functions returning arena views
 }
 
 // isPtsSelector reports whether e selects the curveArena.pts field.

@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-// wantRe extracts the expectation from a `// want `+"`regexp`"+`` comment,
+// wantRe extracts the expectation from a `// want `+"`regexp`"+“ comment,
 // the same convention analysistest uses (with backtick quoting).
 var wantRe = regexp.MustCompile("want `([^`]*)`")
 

@@ -113,7 +113,7 @@ func heavyBound(t Task, d *demand, part []int) int {
 // member is one light task placed on a shared channel, carrying the
 // per-channel RTA inputs of its chosen operating point.
 type member struct {
-	task   int   // task index in the set
+	task   int // task index in the set
 	period int
 	dl     int   // relative deadline
 	c      int64 // sequential execution time (demand.total)

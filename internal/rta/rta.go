@@ -200,7 +200,7 @@ type Verdict struct {
 	Channels [][]int `json:"channels,omitempty"`
 	// Used counts the FU instances consumed per type (dedicated partitions
 	// plus one per channel-owned type).
-	Used    Config `json:"used,omitempty"`
-	Reason  string `json:"reason,omitempty"`
+	Used    Config      `json:"used,omitempty"`
+	Reason  string      `json:"reason,omitempty"`
 	Quality hap.Quality `json:"quality"`
 }

@@ -199,9 +199,9 @@ type EndpointCounters struct {
 }
 
 type histogramSnapshot struct {
-	Count     int64           `json:"count"`
-	MeanMS    float64         `json:"mean_ms"`
-	BucketsMS []bucketSample  `json:"buckets_ms"`
+	Count     int64          `json:"count"`
+	MeanMS    float64        `json:"mean_ms"`
+	BucketsMS []bucketSample `json:"buckets_ms"`
 }
 
 type bucketSample struct {
@@ -236,16 +236,16 @@ func (m *metrics) snapshot(cacheEntries, sessionsActive int) MetricsSnapshot {
 			AdmitCached:          m.admitCached.Load(),
 			AdmitUncached:        m.admitUncached.Load(),
 		},
-		ForwardedIn: m.forwardedIn.Load(),
+		ForwardedIn:      m.forwardedIn.Load(),
 		AdmitRequests:    m.admitRequests.Load(),
 		AdmitAccepted:    m.admitAccepted.Load(),
 		AdmitRejected:    m.admitRejected.Load(),
 		AdmitSearchSteps: m.admitSearchSteps.Load(),
 
-		Shed:          m.shed.Load(),
-		Abandoned:     m.abandoned.Load(),
-		Degraded:      m.degraded.Load(),
-		ExactRes:      m.exactRes.Load(),
+		Shed:      m.shed.Load(),
+		Abandoned: m.abandoned.Load(),
+		Degraded:  m.degraded.Load(),
+		ExactRes:  m.exactRes.Load(),
 
 		SessionsActive:  sessionsActive,
 		SessionsCreated: m.sessionsCreated.Load(),
@@ -278,4 +278,3 @@ func (m *metrics) snapshot(cacheEntries, sessionsActive int) MetricsSnapshot {
 	}
 	return s
 }
-

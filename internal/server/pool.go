@@ -114,14 +114,14 @@ type Job struct {
 	ID string
 
 	mu       sync.Mutex
-	status   string // guarded by mu
-	source   string // guarded by mu
-	result   any    // guarded by mu; *SolveResult or *AdmitResult, nil until done
-	errMsg   string       // guarded by mu
-	errCode  int          // guarded by mu; HTTP status a sync caller would have received
-	created  time.Time    // guarded by mu
-	started  time.Time    // guarded by mu
-	finished time.Time    // guarded by mu
+	status   string    // guarded by mu
+	source   string    // guarded by mu
+	result   any       // guarded by mu; *SolveResult or *AdmitResult, nil until done
+	errMsg   string    // guarded by mu
+	errCode  int       // guarded by mu; HTTP status a sync caller would have received
+	created  time.Time // guarded by mu
+	started  time.Time // guarded by mu
+	finished time.Time // guarded by mu
 
 	cancel context.CancelFunc // guarded by mu
 	done   chan struct{}      // immutable after creation; closed exactly once by finish

@@ -94,11 +94,11 @@ func (c Config) withDefaults() Config {
 // Server is the hetsynthd service: a worker pool, a shared LRU over results
 // and frontier solvers, a single-flight group, and an async job store.
 type Server struct {
-	cfg     Config
-	log     *slog.Logger
-	noLog   bool // no Logger configured: skip the request-log wrapper entirely
-	met     *metrics
-	cache   *shardedCache
+	cfg   Config
+	log   *slog.Logger
+	noLog bool // no Logger configured: skip the request-log wrapper entirely
+	met   *metrics
+	cache *shardedCache
 	// rawCache maps verbatim request bodies of POST /v1/solve to their fully
 	// encoded responses (rawEntry, one body per wire codec), so a repeated
 	// identical body is served without decoding, resolution or digesting. Its own

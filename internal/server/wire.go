@@ -62,20 +62,20 @@ const (
 )
 
 const (
-	binFlagSchedule   = 1 << 0
-	binFlagSlack      = 1 << 1
-	binFlagTimeout    = 1 << 2
-	binSrcInline      = 0
-	binSrcBench       = 1
-	binTableCatalog   = 1
-	binTableSeed      = 2
-	binMaxNameLen     = 256 // algo / bench / catalog names
-	binEntryError     = 0
-	binEntryResult    = 1
-	binRespFlagGap    = 1 << 0
-	binRespFlagLB     = 1 << 1
-	binRespFlagFront  = 1 << 2
-	binRespFlagSched  = 1 << 3
+	binFlagSchedule  = 1 << 0
+	binFlagSlack     = 1 << 1
+	binFlagTimeout   = 1 << 2
+	binSrcInline     = 0
+	binSrcBench      = 1
+	binTableCatalog  = 1
+	binTableSeed     = 2
+	binMaxNameLen    = 256 // algo / bench / catalog names
+	binEntryError    = 0
+	binEntryResult   = 1
+	binRespFlagGap   = 1 << 0
+	binRespFlagLB    = 1 << 1
+	binRespFlagFront = 1 << 2
+	binRespFlagSched = 1 << 3
 )
 
 var binMagic = [4]byte{'H', 'S', 'B', '1'}
